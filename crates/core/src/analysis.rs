@@ -9,9 +9,11 @@
 //!   `MPNN(Ω,Θ) = GGEL_2(Ω,Θ)` and the bound improves to colour
 //!   refinement (slide 51).
 
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::ast::Expr;
+use crate::ast::{memo_shared, Expr, Memo};
 use crate::func::Agg;
 use crate::table::Var;
 
@@ -68,7 +70,8 @@ impl fmt::Display for ExpressivenessReport {
     }
 }
 
-/// Runs the recipe on an expression.
+/// Runs the recipe on an expression. Linear in the distinct nodes of a
+/// shared DAG: every walk visits each [`Expr::Shared`] node once.
 pub fn analyze(expr: &Expr) -> ExpressivenessReport {
     let width = expr.all_vars().len().max(1);
     let guarded = is_mpnn(expr);
@@ -81,8 +84,7 @@ pub fn analyze(expr: &Expr) -> ExpressivenessReport {
         Fragment::Gel(_) => WlBound::ColorRefinement,
     };
     let mut aggregators = Vec::new();
-    collect_aggs(expr, &mut aggregators);
-    aggregators.dedup();
+    collect_aggs(expr, &mut Memo::default(), &mut aggregators);
     ExpressivenessReport {
         fragment,
         width,
@@ -92,23 +94,27 @@ pub fn analyze(expr: &Expr) -> ExpressivenessReport {
     }
 }
 
-fn collect_aggs(expr: &Expr, out: &mut Vec<Agg>) {
+/// Appends the aggregators of `expr` to `out` in order of first
+/// appearance; `seen` marks the shared nodes already walked.
+fn collect_aggs(expr: &Expr, seen: &mut Memo<()>, out: &mut Vec<Agg>) {
     match expr {
         Expr::Apply { args, .. } => {
             for a in args {
-                collect_aggs(a, out);
+                collect_aggs(a, seen, out);
             }
         }
         Expr::Aggregate { agg, value, guard, .. } => {
             if !out.contains(agg) {
                 out.push(*agg);
             }
-            collect_aggs(value, out);
+            collect_aggs(value, seen, out);
             if let Some(g) = guard {
-                collect_aggs(g, out);
+                collect_aggs(g, seen, out);
             }
         }
-        Expr::Shared(e) => collect_aggs(e, out),
+        Expr::Shared(rc) => {
+            memo_shared(rc, seen, |e, m| collect_aggs(e, m, out));
+        }
         _ => {}
     }
 }
@@ -127,60 +133,87 @@ pub fn is_mpnn(expr: &Expr) -> bool {
     if !expr.all_vars().iter().all(|&v| v == 1 || v == 2) {
         return false;
     }
-    mpnn_shape(expr, true)
+    ShapeCheck::default().mpnn_shape(expr, true)
 }
 
-fn contains_global_agg(expr: &Expr) -> bool {
+fn contains_global_agg(expr: &Expr, memo: &mut Memo<bool>) -> bool {
     match expr {
         Expr::Aggregate { guard: None, .. } => true,
         Expr::Aggregate { value, guard: Some(g), .. } => {
-            contains_global_agg(value) || contains_global_agg(g)
+            contains_global_agg(value, memo) || contains_global_agg(g, memo)
         }
-        Expr::Apply { args, .. } => args.iter().any(contains_global_agg),
-        Expr::Shared(e) => contains_global_agg(e),
+        Expr::Apply { args, .. } => args.iter().any(|a| contains_global_agg(a, memo)),
+        Expr::Shared(rc) => *memo_shared(rc, memo, contains_global_agg),
         _ => false,
     }
 }
 
-fn mpnn_shape(expr: &Expr, allow_global: bool) -> bool {
-    match expr {
-        Expr::Label { .. } | Expr::LabelVec { .. } | Expr::Const { .. } => true,
-        Expr::Edge { .. } | Expr::Cmp { .. } => false, // only allowed as guards
-        Expr::Apply { args, .. } => {
-            if args.iter().any(contains_global_agg) {
-                // A global aggregate is a *graph*-level value; it may be
-                // post-processed by readout functions (slide 46) but not
-                // combined with open vertex expressions — that would be a
-                // "virtual node" feature exceeding the CR bound.
-                allow_global && args.iter().all(|a| a.free_vars().is_empty() && mpnn_shape(a, true))
-            } else {
-                args.iter().all(|a| mpnn_shape(a, allow_global))
-            }
-        }
-        Expr::Aggregate { over, value, guard, .. } => {
-            if over.len() != 1 {
-                return false;
-            }
-            let y = over[0];
-            match guard {
-                Some(g) => {
-                    // Must be exactly E(x, y) or E(y, x) with x ≠ y.
-                    let ok_guard = matches!(
-                        g.as_ref(),
-                        Expr::Edge { from, to }
-                            if (*to == y && *from != y) || (*from == y && *to != y)
-                    );
-                    ok_guard && mpnn_shape(value, false)
-                }
-                None => {
-                    // Global aggregation: only allowed at the outermost
-                    // level (readout, slide 46) and the body must be a
-                    // 1-variable MPNN expression.
-                    allow_global && value.free_vars().len() <= 1 && mpnn_shape(value, false)
+/// The memos of one [`is_mpnn`] shape check, one per recursive
+/// question asked of a shared node.
+#[derive(Default)]
+struct ShapeCheck {
+    /// `mpnn_shape` per `allow_global` flag (index 0: false, 1: true).
+    shape: [Memo<bool>; 2],
+    global: Memo<bool>,
+    free: Memo<BTreeSet<Var>>,
+}
+
+impl ShapeCheck {
+    fn num_free(&mut self, expr: &Expr) -> usize {
+        let mut fv = BTreeSet::new();
+        expr.collect_free(&mut self.free, &mut fv);
+        fv.len()
+    }
+
+    fn mpnn_shape(&mut self, expr: &Expr, allow_global: bool) -> bool {
+        match expr {
+            Expr::Label { .. } | Expr::LabelVec { .. } | Expr::Const { .. } => true,
+            Expr::Edge { .. } | Expr::Cmp { .. } => false, // only allowed as guards
+            Expr::Apply { args, .. } => {
+                if args.iter().any(|a| contains_global_agg(a, &mut self.global)) {
+                    // A global aggregate is a *graph*-level value; it may be
+                    // post-processed by readout functions (slide 46) but not
+                    // combined with open vertex expressions — that would be a
+                    // "virtual node" feature exceeding the CR bound.
+                    allow_global
+                        && args.iter().all(|a| self.num_free(a) == 0 && self.mpnn_shape(a, true))
+                } else {
+                    args.iter().all(|a| self.mpnn_shape(a, allow_global))
                 }
             }
+            Expr::Aggregate { over, value, guard, .. } => {
+                if over.len() != 1 {
+                    return false;
+                }
+                let y = over[0];
+                match guard {
+                    Some(g) => {
+                        // Must be exactly E(x, y) or E(y, x) with x ≠ y.
+                        let ok_guard = matches!(
+                            g.as_ref(),
+                            Expr::Edge { from, to }
+                                if (*to == y && *from != y) || (*from == y && *to != y)
+                        );
+                        ok_guard && self.mpnn_shape(value, false)
+                    }
+                    None => {
+                        // Global aggregation: only allowed at the outermost
+                        // level (readout, slide 46) and the body must be a
+                        // 1-variable MPNN expression.
+                        allow_global && self.num_free(value) <= 1 && self.mpnn_shape(value, false)
+                    }
+                }
+            }
+            Expr::Shared(rc) => {
+                let key = Arc::as_ptr(rc) as usize;
+                if let Some(&hit) = self.shape[allow_global as usize].get(&key) {
+                    return hit;
+                }
+                let v = self.mpnn_shape(rc, allow_global);
+                self.shape[allow_global as usize].insert(key, v);
+                v
+            }
         }
-        Expr::Shared(e) => mpnn_shape(e, allow_global),
     }
 }
 
@@ -249,6 +282,19 @@ mod tests {
         let r = analyze(&e);
         assert!(r.aggregators.contains(&Agg::Max));
         assert!(r.aggregators.contains(&Agg::Sum));
+    }
+
+    #[test]
+    fn shared_node_is_judged_in_each_context() {
+        // One shared readout, first met where a global aggregation is
+        // allowed, then as the body of a neighbourhood aggregation,
+        // where it is not: the memo must not carry the first verdict
+        // over.
+        let readout = share(global_agg(Agg::Sum, 2, lab(0, 2)));
+        let nested = global_agg(Agg::Sum, 1, nbr_agg(Agg::Sum, 1, 2, readout.clone()));
+        let e = apply(Func::Concat, vec![readout, nested]);
+        assert!(!is_mpnn(&e));
+        assert_eq!(analyze(&e).fragment, Fragment::Gel(2));
     }
 
     #[test]

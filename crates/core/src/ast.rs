@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -102,11 +103,19 @@ pub enum Expr {
     /// makes the *materialized* tree exponential in the round count
     /// (millions of nodes) even though the number of distinct subtrees
     /// is linear. Wrapping each round in `Shared` keeps construction,
-    /// plan lowering and drop linear. [`Expr::structural_hash`] and
-    /// evaluation see straight through the wrapper;
+    /// plan lowering and drop linear.
+    ///
+    /// These passes see straight through the wrapper and visit each
+    /// shared node once, so they run in time linear in the DAG's
+    /// distinct nodes: [`Expr::validate`], [`Expr::dim`],
+    /// [`Expr::free_vars`], [`Expr::all_vars`], [`Expr::size`],
+    /// [`Expr::structural_hash`], [`crate::eval::check_against_graph`],
+    /// [`crate::analysis::analyze`] and evaluation.
     /// [`Expr::rename_var`] preserves sharing by renaming each shared
-    /// node once. Note `PartialEq` (derived) does *not* unwrap:
-    /// `Shared(e) != e` structurally.
+    /// node once. `Display` (and so the text syntax) still unfolds, as
+    /// do the tree rewrites [`crate::simplify`] and
+    /// [`crate::normal_form`]. Note `PartialEq` (derived) does *not*
+    /// unwrap: `Shared(e) != e` structurally.
     Shared(
         /// The shared subexpression.
         Arc<Expr>,
@@ -156,27 +165,34 @@ impl Expr {
     /// Panics on ill-typed expressions; call [`Expr::validate`] first
     /// when handling untrusted input.
     pub fn dim(&self) -> usize {
+        self.dim_memo(&mut Memo::default())
+    }
+
+    fn dim_memo(&self, memo: &mut Memo<usize>) -> usize {
         match self {
             Expr::Label { .. } | Expr::Edge { .. } | Expr::Cmp { .. } => 1,
             Expr::LabelVec { dim, .. } => *dim,
             Expr::Const { values } => values.len(),
             Expr::Apply { func, args } => {
-                let d_in: usize = args.iter().map(Expr::dim).sum();
+                let d_in: usize = args.iter().map(|a| a.dim_memo(memo)).sum();
                 func.out_dim(d_in).expect("ill-typed Apply; validate first")
             }
-            Expr::Aggregate { value, .. } => value.dim(),
-            Expr::Shared(e) => e.dim(),
+            Expr::Aggregate { value, .. } => value.dim_memo(memo),
+            Expr::Shared(rc) => *memo_shared(rc, memo, Expr::dim_memo),
         }
     }
 
     /// The set of free variables (paper: `fv(φ)`).
     pub fn free_vars(&self) -> BTreeSet<Var> {
         let mut out = BTreeSet::new();
-        self.collect_free(&mut out);
+        self.collect_free(&mut Memo::default(), &mut out);
         out
     }
 
-    fn collect_free(&self, out: &mut BTreeSet<Var>) {
+    /// Adds the free variables of `self` to `out`, remembering those of
+    /// each [`Expr::Shared`] node in `memo` (a node's free variables do
+    /// not depend on where it is used).
+    pub(crate) fn collect_free(&self, memo: &mut Memo<BTreeSet<Var>>, out: &mut BTreeSet<Var>) {
         match self {
             Expr::Label { var, .. } | Expr::LabelVec { var, .. } => {
                 out.insert(*var);
@@ -192,21 +208,28 @@ impl Expr {
             Expr::Const { .. } => {}
             Expr::Apply { args, .. } => {
                 for a in args {
-                    a.collect_free(out);
+                    a.collect_free(memo, out);
                 }
             }
             Expr::Aggregate { over, value, guard, .. } => {
                 let mut inner = BTreeSet::new();
-                value.collect_free(&mut inner);
+                value.collect_free(memo, &mut inner);
                 if let Some(g) = guard {
-                    g.collect_free(&mut inner);
+                    g.collect_free(memo, &mut inner);
                 }
                 for v in over {
                     inner.remove(v);
                 }
                 out.extend(inner);
             }
-            Expr::Shared(e) => e.collect_free(out),
+            Expr::Shared(rc) => {
+                let fv = memo_shared(rc, memo, |e, m| {
+                    let mut fv = BTreeSet::new();
+                    e.collect_free(m, &mut fv);
+                    fv
+                });
+                out.extend(fv.iter().copied());
+            }
         }
     }
 
@@ -215,11 +238,13 @@ impl Expr {
     /// most `k` distinct variables, slide 62).
     pub fn all_vars(&self) -> BTreeSet<Var> {
         let mut out = BTreeSet::new();
-        self.collect_all(&mut out);
+        self.collect_all(&mut Memo::default(), &mut out);
         out
     }
 
-    fn collect_all(&self, out: &mut BTreeSet<Var>) {
+    /// Adds every variable of `self` to `out`; `seen` marks the
+    /// [`Expr::Shared`] nodes already walked.
+    fn collect_all(&self, seen: &mut Memo<()>, out: &mut BTreeSet<Var>) {
         match self {
             Expr::Label { var, .. } | Expr::LabelVec { var, .. } => {
                 out.insert(*var);
@@ -235,22 +260,31 @@ impl Expr {
             Expr::Const { .. } => {}
             Expr::Apply { args, .. } => {
                 for a in args {
-                    a.collect_all(out);
+                    a.collect_all(seen, out);
                 }
             }
             Expr::Aggregate { over, value, guard, .. } => {
                 out.extend(over.iter().copied());
-                value.collect_all(out);
+                value.collect_all(seen, out);
                 if let Some(g) = guard {
-                    g.collect_all(out);
+                    g.collect_all(seen, out);
                 }
             }
-            Expr::Shared(e) => e.collect_all(out),
+            Expr::Shared(rc) => {
+                memo_shared(rc, seen, |e, m| e.collect_all(m, out));
+            }
         }
     }
 
     /// Type-checks the expression; `Ok(dim)` on success.
     pub fn validate(&self) -> Result<usize, TypeError> {
+        self.validate_memo(&mut Memo::default())
+    }
+
+    /// [`Expr::validate`] remembering the dimension of each
+    /// [`Expr::Shared`] node. The walk stops at its first error, so a
+    /// node found in `memo` has already passed.
+    fn validate_memo(&self, memo: &mut Memo<Result<usize, TypeError>>) -> Result<usize, TypeError> {
         match self {
             Expr::Label { var, .. } | Expr::LabelVec { var, .. } => {
                 if *var == 0 {
@@ -280,7 +314,7 @@ impl Expr {
             Expr::Apply { func, args } => {
                 let mut d_in = 0usize;
                 for a in args {
-                    d_in += a.validate()?;
+                    d_in += a.validate_memo(memo)?;
                 }
                 func.out_dim(d_in)
                     .ok_or_else(|| TypeError::FuncDimension { func: func.name(), d_in })
@@ -295,16 +329,16 @@ impl Expr {
                 if dedup.len() != over.len() || dedup.contains(&0) {
                     return Err(TypeError::BadAggregationVars);
                 }
-                let d = value.validate()?;
+                let d = value.validate_memo(memo)?;
                 if let Some(g) = guard {
-                    let gd = g.validate()?;
+                    let gd = g.validate_memo(memo)?;
                     if gd != 1 {
                         return Err(TypeError::GuardDimension(gd));
                     }
                 }
                 Ok(d)
             }
-            Expr::Shared(e) => e.validate(),
+            Expr::Shared(rc) => memo_shared(rc, memo, Expr::validate_memo).clone(),
         }
     }
 
@@ -319,14 +353,14 @@ impl Expr {
     /// `to`. Used by the WL-simulation builders which instantiate one
     /// template at several positions (experiment E9).
     pub fn rename_var(&self, from: Var, to: Var) -> Expr {
-        self.rename_memo(from, to, &mut HashMap::new())
+        self.rename_memo(from, to, &mut Memo::default())
     }
 
     /// [`Expr::rename_var`] with a per-call memo of already-renamed
     /// [`Expr::Shared`] nodes (keyed by pointer), so renaming a shared
     /// DAG stays linear in its *distinct* nodes and the result is
     /// shared the same way the input was.
-    fn rename_memo(&self, from: Var, to: Var, memo: &mut HashMap<*const Expr, Arc<Expr>>) -> Expr {
+    fn rename_memo(&self, from: Var, to: Var, memo: &mut Memo<Arc<Expr>>) -> Expr {
         let r = |v: Var| if v == from { to } else { v };
         match self {
             Expr::Label { j, var } => Expr::Label { j: *j, var: r(*var) },
@@ -344,46 +378,45 @@ impl Expr {
                 value: Box::new(value.rename_memo(from, to, memo)),
                 guard: guard.as_ref().map(|g| Box::new(g.rename_memo(from, to, memo))),
             },
-            Expr::Shared(rc) => {
-                let p = Arc::as_ptr(rc);
-                if let Some(hit) = memo.get(&p) {
-                    return Expr::Shared(Arc::clone(hit));
-                }
-                let renamed = Arc::new(rc.rename_memo(from, to, memo));
-                memo.insert(p, Arc::clone(&renamed));
-                Expr::Shared(renamed)
-            }
+            Expr::Shared(rc) => Expr::Shared(Arc::clone(memo_shared(rc, memo, |e, m| {
+                Arc::new(e.rename_memo(from, to, m))
+            }))),
         }
     }
 
-    /// A 64-bit structural fingerprint: equal expressions hash equal.
-    /// The evaluator memoizes on this, which collapses the exponential
-    /// duplication created by the layer compilers (each WL-simulation
-    /// round embeds several copies of the previous round) back to
-    /// linear work.
+    /// A 64-bit structural fingerprint: equal expressions hash equal,
+    /// and [`Expr::Shared`] is transparent (a shared node hashes as its
+    /// contents). The evaluator memoizes on this, which collapses the
+    /// exponential duplication created by the layer compilers (each
+    /// WL-simulation round embeds several copies of the previous round)
+    /// back to linear work.
     pub fn structural_hash(&self) -> u64 {
-        if let Expr::Shared(e) = self {
-            // Transparent: hashes as its contents. (This unfolds the
-            // DAG; the plan compiler uses a pointer-memoized walk
-            // instead — see `plan::dag_hash`.)
-            return e.structural_hash();
-        }
-        let mut h = self.hash_header();
+        self.hash_memo(&mut Memo::default())
+    }
+
+    /// [`Expr::structural_hash`] remembering the hash of each
+    /// [`Expr::Shared`] node in `memo`. The plan compiler keeps one
+    /// memo across a lowering so every subtree hash it asks for is a
+    /// lookup.
+    pub(crate) fn hash_memo(&self, memo: &mut Memo<u64>) -> u64 {
         match self {
             Expr::Apply { args, .. } => {
+                let mut h = self.hash_header();
                 for a in args {
-                    h = hash_mix(h, a.structural_hash());
+                    h = hash_mix(h, a.hash_memo(memo));
                 }
+                h
             }
             Expr::Aggregate { value, guard, .. } => {
-                h = hash_mix(h, value.structural_hash());
+                let mut h = hash_mix(self.hash_header(), value.hash_memo(memo));
                 if let Some(g) = guard {
-                    h = hash_mix(h, g.structural_hash());
+                    h = hash_mix(h, g.hash_memo(memo));
                 }
+                h
             }
-            _ => {}
+            Expr::Shared(rc) => *memo_shared(rc, memo, Expr::hash_memo),
+            _ => self.hash_header(),
         }
-        h
     }
 
     /// The child-independent prefix of [`Expr::structural_hash`]: for a
@@ -450,23 +483,74 @@ impl Expr {
         self.rename_var(a, TMP).rename_var(b, a).rename_var(TMP, b)
     }
 
-    /// Number of AST nodes (diagnostics / complexity bookkeeping).
+    /// Number of AST nodes (diagnostics / complexity bookkeeping). This
+    /// is the logical size: it counts the unfolding, like every other
+    /// observer of the syntax tree, but visits each [`Expr::Shared`]
+    /// node once.
     pub fn size(&self) -> usize {
+        self.size_memo(&mut Memo::default())
+    }
+
+    fn size_memo(&self, memo: &mut Memo<usize>) -> usize {
         match self {
             Expr::Label { .. }
             | Expr::LabelVec { .. }
             | Expr::Edge { .. }
             | Expr::Cmp { .. }
             | Expr::Const { .. } => 1,
-            Expr::Apply { args, .. } => 1 + args.iter().map(Expr::size).sum::<usize>(),
+            Expr::Apply { args, .. } => 1 + args.iter().map(|a| a.size_memo(memo)).sum::<usize>(),
             Expr::Aggregate { value, guard, .. } => {
-                1 + value.size() + guard.as_ref().map_or(0, |g| g.size())
+                1 + value.size_memo(memo) + guard.as_ref().map_or(0, |g| g.size_memo(memo))
             }
-            // Logical size: counts the unfolding, like every other
-            // observer of the syntax tree.
-            Expr::Shared(e) => e.size(),
+            Expr::Shared(rc) => *memo_shared(rc, memo, Expr::size_memo),
         }
     }
+}
+
+/// The per-call memo of a static pass over an [`Expr`]: one entry per
+/// [`Expr::Shared`] node, keyed by the address of its `Arc` contents.
+/// The expression is borrowed for the whole pass, so no address is
+/// freed and reused while the memo lives. (Keyed by `usize` rather
+/// than a raw pointer so holders stay `Send`.)
+pub(crate) type Memo<T> = HashMap<usize, T, BuildHasherDefault<AddrHasher>>;
+
+/// The [`Memo`] key hash: one multiply, folded so the low bits the
+/// table indexes by depend on every bit of the (aligned) address. Keys
+/// are addresses of live nodes, not input an attacker picks, so a
+/// keyed hash buys nothing here.
+#[derive(Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Memo keys are usize addresses")
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        let h = (addr as u64).wrapping_mul(0x9e3779b97f4a7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// How a static pass crosses an [`Expr::Shared`] boundary: returns the
+/// memoized result for `rc`, computing it with `pass` on the first
+/// visit. A pass built on it costs time linear in the DAG's distinct
+/// nodes rather than in its (exponential) unfolding.
+pub(crate) fn memo_shared<'m, T>(
+    rc: &Arc<Expr>,
+    memo: &'m mut Memo<T>,
+    pass: impl FnOnce(&Expr, &mut Memo<T>) -> T,
+) -> &'m T {
+    let key = Arc::as_ptr(rc) as usize;
+    if !memo.contains_key(&key) {
+        let v = pass(rc, memo);
+        memo.insert(key, v);
+    }
+    &memo[&key]
 }
 
 /// The mixing step of [`Expr::structural_hash`]. Exposed to the plan

@@ -17,7 +17,7 @@
 
 use gel_graph::Graph;
 
-use crate::ast::Expr;
+use crate::ast::{memo_shared, Expr, Memo};
 use crate::plan::EvalEngine;
 use crate::table::EmbeddingTable;
 
@@ -125,7 +125,7 @@ impl std::error::Error for EvalError {}
 /// on untrusted input to get errors instead of panics.
 pub fn check_against_graph(expr: &Expr, g: &Graph) -> Result<(), EvalError> {
     expr.validate().map_err(EvalError::Type)?;
-    fn walk(e: &Expr, dim: usize) -> Result<(), EvalError> {
+    fn walk(e: &Expr, dim: usize, seen: &mut Memo<Result<(), EvalError>>) -> Result<(), EvalError> {
         match e {
             Expr::Label { j, .. } if *j >= dim => {
                 Err(EvalError::LabelIndex { j: *j, label_dim: dim })
@@ -133,16 +133,16 @@ pub fn check_against_graph(expr: &Expr, g: &Graph) -> Result<(), EvalError> {
             Expr::LabelVec { dim: d, .. } if *d != dim => {
                 Err(EvalError::LabelVecDim { declared: *d, label_dim: dim })
             }
-            Expr::Apply { args, .. } => args.iter().try_for_each(|a| walk(a, dim)),
+            Expr::Apply { args, .. } => args.iter().try_for_each(|a| walk(a, dim, seen)),
             Expr::Aggregate { value, guard, .. } => {
-                walk(value, dim)?;
-                guard.as_ref().map_or(Ok(()), |gd| walk(gd, dim))
+                walk(value, dim, seen)?;
+                guard.as_ref().map_or(Ok(()), |gd| walk(gd, dim, seen))
             }
-            Expr::Shared(e) => walk(e, dim),
+            Expr::Shared(rc) => memo_shared(rc, seen, |e, m| walk(e, dim, m)).clone(),
             _ => Ok(()),
         }
     }
-    walk(expr, g.label_dim())
+    walk(expr, g.label_dim(), &mut Memo::default())
 }
 
 /// [`eval`] with the [`check_against_graph`] pre-flight: errors instead

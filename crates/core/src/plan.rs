@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gel_graph::{Graph, Vertex};
 use gel_tensor::kernels::{gather_sum_into, gather_sum_scalar};
 
-use crate::ast::{CmpOp, Expr};
+use crate::ast::{CmpOp, Expr, Memo};
 use crate::eval::EvalOptions;
 use crate::func::{Agg, Func};
 use crate::sparse::{
@@ -74,16 +74,14 @@ pub fn eval_plan_builds() -> u64 {
     PLAN_BUILDS.load(Ordering::Relaxed)
 }
 
-/// The hash key under which an expression's plan is cached: the
-/// structural hash computed with pointer memoization at
-/// [`Expr::Shared`] boundaries, so hashing a shared DAG is linear in
-/// its distinct nodes (a plain [`Expr::structural_hash`] would unfold
-/// it). Equal subtrees — shared or physically copied — collide to the
-/// same key, exactly as inside [`EvalEngine`]; external plan caches
-/// (the `gel-serve` server) key persistent engines by this value.
+/// The hash key under which an expression's plan is cached: its
+/// [`Expr::structural_hash`], which is linear in a shared DAG's
+/// distinct nodes. Equal subtrees — shared or physically copied —
+/// collide to the same key, exactly as inside [`EvalEngine`]; external
+/// plan caches (the `gel-serve` server) key persistent engines by this
+/// value.
 pub fn expr_dag_hash(expr: &Expr) -> u64 {
-    let mut memo = HashMap::new();
-    dag_hash(expr, &mut memo)
+    expr.structural_hash()
 }
 
 static SLAB_ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -520,7 +518,7 @@ pub struct EvalEngine {
     /// per call (addresses may be reused across expressions); keeps
     /// hashing a shared DAG linear in its distinct nodes. The map
     /// retains its capacity, so steady-state refills don't allocate.
-    hash_memo: HashMap<usize, u64>,
+    hash_memo: Memo<u64>,
 }
 
 impl Default for EvalEngine {
@@ -549,7 +547,7 @@ impl EvalEngine {
             pool: SlabPool::default(),
             idx_pool: IdxPool::default(),
             scratch: ExecScratch::default(),
-            hash_memo: HashMap::new(),
+            hash_memo: Memo::default(),
         }
     }
 
@@ -671,10 +669,10 @@ impl EvalEngine {
         g: &Graph,
         cap: Option<usize>,
     ) -> Result<(), PlanTooDense> {
-        // Hash with a pointer memo at `Shared` boundaries — a naive
-        // `structural_hash` would unfold the DAG.
+        // Keep the per-`Shared` hashes: lowering asks for subtree
+        // hashes again and each becomes a lookup.
         self.hash_memo.clear();
-        let root_hash = dag_hash(expr, &mut self.hash_memo);
+        let root_hash = expr.hash_memo(&mut self.hash_memo);
         let key = (
             root_hash,
             g.num_vertices(),
@@ -805,7 +803,7 @@ impl EvalEngine {
             // `ensure_plan` hashed the whole DAG, so this is a lookup;
             // a hash hit skips the subtree entirely — shared rounds
             // lower exactly once.
-            let h = dag_hash(expr, &mut self.hash_memo);
+            let h = expr.hash_memo(&mut self.hash_memo);
             if let Some(&i) = self.node_of.get(&h) {
                 return (i, h);
             }
@@ -1105,10 +1103,10 @@ impl EvalEngine {
                 all.dedup();
                 let cells = n.checked_pow(all.len() as u32).unwrap_or(usize::MAX);
                 if cells >= self.opts.sparse_min_cells {
-                    let vh = dag_hash(value, &mut self.hash_memo);
+                    let vh = value.hash_memo(&mut self.hash_memo);
                     let mut key = crate::ast::hash_mix(header, vh);
                     if let Some(g0) = guard {
-                        key = crate::ast::hash_mix(key, dag_hash(g0, &mut self.hash_memo));
+                        key = crate::ast::hash_mix(key, g0.hash_memo(&mut self.hash_memo));
                     }
                     if let Some(&i) = self.node_of.get(&key) {
                         return (i, key);
@@ -1394,39 +1392,6 @@ impl EvalEngine {
         let nd = &self.nodes[i];
         let cells = (nd.len / nd.dim.max(1)).max(1);
         nd.est_nnz.min(cells) as f64 / cells as f64
-    }
-}
-
-/// [`Expr::structural_hash`] with a pointer memo at [`Expr::Shared`]
-/// boundaries: linear in the DAG's distinct nodes where the naive
-/// recursion is linear in its (exponential) unfolding. Produces
-/// identical values — `Shared` is transparent to the hash.
-fn dag_hash(e: &Expr, memo: &mut HashMap<usize, u64>) -> u64 {
-    match e {
-        Expr::Shared(rc) => {
-            let p = std::sync::Arc::as_ptr(rc) as usize;
-            if let Some(&h) = memo.get(&p) {
-                return h;
-            }
-            let h = dag_hash(rc, memo);
-            memo.insert(p, h);
-            h
-        }
-        Expr::Apply { args, .. } => {
-            let mut h = e.hash_header();
-            for a in args {
-                h = crate::ast::hash_mix(h, dag_hash(a, memo));
-            }
-            h
-        }
-        Expr::Aggregate { value, guard, .. } => {
-            let mut h = crate::ast::hash_mix(e.hash_header(), dag_hash(value, memo));
-            if let Some(g) = guard {
-                h = crate::ast::hash_mix(h, dag_hash(g, memo));
-            }
-            h
-        }
-        _ => e.hash_header(),
     }
 }
 

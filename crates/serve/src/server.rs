@@ -410,13 +410,10 @@ struct Preflight {
 /// ([`Preflight::wide`]) unless its flat cell index cannot even be
 /// represented, which no engine could plan.
 fn preflight(state: &Arc<Shared>, g: &Graph, expr: &gel_lang::Expr) -> Result<Preflight, Response> {
-    let dim = match check_against_graph(expr, g) {
-        Ok(()) => match expr.validate() {
-            Ok(d) => d,
-            Err(e) => return Err(err(ErrorCode::Analyze, e.to_string())),
-        },
-        Err(e) => return Err(err(ErrorCode::Analyze, e.to_string())),
-    };
+    // One type check: `check_against_graph` validates, so `dim` cannot
+    // panic. Each pass is linear in the expression's distinct nodes.
+    check_against_graph(expr, g).map_err(|e| err(ErrorCode::Analyze, e.to_string()))?;
+    let dim = expr.dim();
     let n = g.num_vertices();
     let p = expr.free_vars().len() as u32;
     let cells = (n as u128).pow(p) * dim as u128;

@@ -12,7 +12,7 @@
 use gel_graph::random::{erdos_renyi, with_random_real_labels};
 use gel_graph::Graph;
 use gel_lang::wl_sim::{cr_graph_expr, k_wl_graph_expr};
-use gel_lang::{EvalEngine, Expr};
+use gel_lang::{analyze, EvalEngine, Expr};
 use gel_serve::{Client, ServeOptions, Server, TableData};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -254,5 +254,30 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     ));
     // And the connection is still healthy.
     client.ping().expect("connection survives TooLarge");
+    server.shutdown();
+}
+
+/// Deep-shared WL readouts — hundreds of millions of nodes unfolded,
+/// tens of thousands distinct — are admitted, evaluated and analyzed
+/// over loopback within the decoder's depth and node caps. Preflight
+/// and analysis visit each shared node once; unfolding them would not
+/// finish.
+#[test]
+fn deep_shared_readouts_are_evaluated_and_analyzed() {
+    let g = corpus_graph();
+    let server = Server::bind(ServeOptions::default()).expect("bind");
+    server.register_graph("corpus", g.clone()).expect("register");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for e in [cr_graph_expr(LABEL_DIM, 12), k_wl_graph_expr(2, LABEL_DIM, 7)] {
+        assert!(e.size() > 1 << 27, "unfolded size {} is not deep", e.size());
+        let (vars, dim, n, data) = client.eval("corpus", &e).expect("deep eval");
+        let mut engine = EvalEngine::new();
+        let want = engine.eval(&e, &g);
+        assert_eq!((vars.as_slice(), dim as usize, n as usize), (want.vars(), want.dim(), 14));
+        let got: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = want.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "deep readout diverged from direct eval");
+        assert_eq!(client.analyze(&e).expect("deep analyze"), analyze(&e).to_string());
+    }
     server.shutdown();
 }
