@@ -120,9 +120,12 @@ pub fn eval_wco_joins() -> u64 {
     WCO_JOINS.load(Ordering::Relaxed)
 }
 
-/// Leapfrog seeks performed across all wco joins (the kernel's
-/// intersection work — the quantity the AGM bound caps). Mirrored to
-/// `eval.wco.seeks`.
+/// Gallop seeks performed across all wco joins: one per gallop that
+/// advances a lagging iterator, in the k-way leapfrog and in the
+/// two-factor intersection of the folded last depth alike (the
+/// kernel's intersection work — the quantity the AGM bound caps).
+/// Matches, range delimiting and the sums over the aggregated suffix
+/// are not seeks. Mirrored to `eval.wco.seeks`.
 pub fn eval_wco_seeks() -> u64 {
     WCO_SEEKS.load(Ordering::Relaxed)
 }
@@ -2806,25 +2809,5 @@ mod tests {
         assert!(err.len > 64, "error must carry the offending slab length");
         // The engine recovers: an uncapped call evaluates normally.
         assert_eq!(dense_eng.eval(&e, &g), &want);
-    }
-
-    /// The warmed wco + sparse-output path performs zero pool misses:
-    /// the slab-alloc counter must stay flat across repeated calls on
-    /// a cached plan.
-    #[test]
-    fn wco_sparse_output_steady_state_allocs_zero() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let g = random_graph(14, 1, &mut rng);
-        let e = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![2, 3]);
-        let opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
-        let mut eng = EvalEngine::with_options(opts);
-        for _ in 0..3 {
-            eng.eval(&e, &g); // warm the plan, buffers and scratch
-        }
-        let before = eval_slab_allocs();
-        for _ in 0..10 {
-            eng.eval(&e, &g);
-        }
-        assert_eq!(eval_slab_allocs(), before, "warmed wco/sparse-output path allocated");
     }
 }

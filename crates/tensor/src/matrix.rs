@@ -14,7 +14,6 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::kernels;
@@ -100,7 +99,7 @@ fn note_alloc(len: usize) {
 }
 
 /// A dense row-major matrix of `f64`.
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
