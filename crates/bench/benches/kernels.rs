@@ -1,66 +1,22 @@
-//! Tensor-kernel microbenchmarks: the register-blocked, cache-tiled
-//! cores in `gel_tensor::kernels` against the ikj reference oracle
-//! (`matmul_ikj_into`), plus the fused CSR gather against the
-//! per-neighbour axpy loop it replaced.
+//! Tensor-kernel microbenchmarks: the blocked matmul and fused CSR
+//! gather workloads of [`gel_bench::kernels`], plus the transpose-fused
+//! GEMM variants and a full-width thread-scaling leg.
 //!
 //! Run with `cargo bench -p gel-bench --bench kernels [-- --smoke]`.
 //! Reports GFLOP/s per kernel and a `simd_speedup` ratio (oracle time
-//! over blocked time, 1 thread). `--smoke` shrinks the iteration
-//! counts for CI and *asserts* `simd_speedup >= 2.0` on the 256³
-//! matmul — the regression gate for the blocked kernel path.
+//! over blocked time, 1 thread). The gather workload asserts the fused
+//! gather is bit-identical to the per-neighbour loop on every run.
+//! `--smoke` shrinks the iteration counts for CI and *asserts*
+//! `simd_speedup >= 2.0` on the 256³ matmul — the regression gate for
+//! the blocked kernel path.
 
-use std::time::Instant;
-
-use gel_graph::random::erdos_renyi;
-use gel_graph::Graph;
-use gel_tensor::kernels::matmul_ikj_into;
+use gel_bench::kernels::{gather, gflops, matmul, test_matrix, timing, GATED_MATMUL};
+use gel_bench::{min_secs_per_iter, with_threads, Scale};
 use gel_tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Minimum per-iteration time over several timed rounds (after one
-/// untimed warm-up call); robust against one-off scheduler hiccups.
-fn min_secs_per_iter(rounds: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / f64::from(iters));
-    }
-    best
-}
-
-fn test_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |i, j| ((i * 31 + j * 17 + salt * 7) % 23) as f64 * 0.25 - 2.75)
-}
-
-fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
-    (2 * m * k * n) as f64 / secs.max(1e-12) / 1e9
-}
-
-/// Blocked-vs-oracle square matmul at one size; returns
-/// `(blocked GFLOP/s, oracle GFLOP/s, simd_speedup)`.
-fn bench_matmul(size: usize, rounds: u32, iters: u32) -> (f64, f64, f64) {
-    let a = test_matrix(size, size, 0);
-    let b = test_matrix(size, size, 1);
-    let mut out = Matrix::zeros(size, size);
-    let blocked = min_secs_per_iter(rounds, iters, || a.matmul_into(&b, &mut out));
-    let oracle = min_secs_per_iter(rounds, iters, || matmul_ikj_into(&a, &b, &mut out));
-    let speedup = oracle / blocked.max(1e-12);
-    println!(
-        "matmul_{size:<4} threads=1   blocked {:>7.2} GFLOP/s   oracle {:>7.2} GFLOP/s   simd_speedup {:>5.2}x",
-        gflops(size, size, size, blocked),
-        gflops(size, size, size, oracle),
-        speedup
-    );
-    (gflops(size, size, size, blocked), gflops(size, size, size, oracle), speedup)
-}
 
 /// The transpose-fused variants at one size (all on the blocked cores).
-fn bench_variants(size: usize, rounds: u32, iters: u32) {
+fn bench_variants(size: usize, scale: Scale) {
+    let (rounds, iters) = timing(scale);
     let a = test_matrix(size, size, 2);
     let b = test_matrix(size, size, 3);
     let bias = vec![0.125; size];
@@ -78,75 +34,51 @@ fn bench_variants(size: usize, rounds: u32, iters: u32) {
     );
 }
 
-/// Per-neighbour axpy reference for the fused gather (the PR 6 loop
-/// shape in `gel_gnn::agg::sum_forward_into`).
-fn naive_gather(g: &Graph, x: &Matrix, out: &mut Matrix) {
-    out.ensure_shape(g.num_vertices(), x.cols());
-    for v in g.vertices() {
-        let row = out.row_mut(v as usize);
-        row.fill(0.0);
-        for &u in g.out_neighbors(v) {
-            for (o, &xv) in row.iter_mut().zip(x.row(u as usize)) {
-                *o += xv;
-            }
-        }
-    }
-}
-
-/// Fused CSR gather vs the per-neighbour loop; returns the speedup.
-fn bench_gather(n: usize, deg: f64, cols: usize, rounds: u32, iters: u32) -> f64 {
-    let g = erdos_renyi(n, deg / n as f64, &mut StdRng::seed_from_u64(gel_bench::BENCH_SEED));
-    let x = test_matrix(n, cols, 4);
-    let mut out = Matrix::zeros(n, cols);
-    let fused =
-        min_secs_per_iter(rounds, iters, || gel_gnn::agg::sum_forward_into(&g, &x, &mut out));
-    let naive = min_secs_per_iter(rounds, iters, || naive_gather(&g, &x, &mut out));
-    let speedup = naive / fused.max(1e-12);
-    println!(
-        "gather_er{n}_d{cols}        fused {:>8.2} µs   per-neighbour {:>8.2} µs   speedup {:>5.2}x",
-        fused * 1e6,
-        naive * 1e6,
-        speedup
-    );
-    speedup
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (rounds, iters) = if smoke { (2, 2) } else { (5, 20) };
-
-    // All single-kernel numbers are taken at one thread: the blocked
-    // cores are a serial-throughput claim; the parallel split is the
-    // same code over row blocks.
-    rayon::set_num_threads(1);
-    let mut speedup_256 = 0.0;
-    for size in [64usize, 128, 256] {
-        let (_, _, s) = bench_matmul(size, rounds, iters);
-        if size == 256 {
-            speedup_256 = s;
+    let scale = Scale::from_args();
+    let mut speedup_gated = 0.0;
+    for size in [64, 128, GATED_MATMUL] {
+        let p = matmul(size, scale);
+        println!(
+            "matmul_{size:<4} threads=1   blocked {:>7.2} GFLOP/s   oracle {:>7.2} GFLOP/s   simd_speedup {:>5.2}x",
+            p.blocked_gflops(),
+            p.oracle_gflops(),
+            p.simd_speedup()
+        );
+        if size == GATED_MATMUL {
+            speedup_gated = p.simd_speedup();
         }
     }
-    bench_variants(128, rounds, iters);
-    let gather_speedup = bench_gather(4096, 8.0, 32, rounds, iters);
+    with_threads(1, || bench_variants(128, scale));
+    let g = gather(scale);
+    println!(
+        "gather_er{}_d{}        fused {:>8.2} µs   per-neighbour {:>8.2} µs   speedup {:>5.2}x",
+        g.n,
+        g.cols,
+        g.fused_s * 1e6,
+        g.naive_s * 1e6,
+        g.speedup()
+    );
 
     // One full-width leg so thread scaling stays visible in the log.
     let width = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if width > 1 && !smoke {
-        rayon::set_num_threads(width);
+    if width > 1 && !scale.is_smoke() {
+        let (rounds, iters) = timing(scale);
         let a = test_matrix(256, 256, 0);
         let b = test_matrix(256, 256, 1);
         let mut out = Matrix::zeros(256, 256);
-        let t = min_secs_per_iter(rounds, iters, || a.matmul_into(&b, &mut out));
+        let t = with_threads(width, || {
+            min_secs_per_iter(rounds, iters, || a.matmul_into(&b, &mut out))
+        });
         println!("matmul_256  threads={width}   blocked {:>7.2} GFLOP/s", gflops(256, 256, 256, t));
     }
-    rayon::set_num_threads(0);
 
-    let _ = gather_speedup;
-    if smoke {
+    if scale.is_smoke() {
         assert!(
-            speedup_256 >= 2.0,
-            "blocked matmul regressed: simd_speedup {speedup_256:.2}x < 2.0x vs ikj oracle at 256³"
+            speedup_gated >= 2.0,
+            "blocked matmul regressed: simd_speedup {speedup_gated:.2}x < 2.0x vs ikj oracle at 256³"
         );
-        println!("smoke OK: blocked matmul ≥2x over the ikj oracle (got {speedup_256:.2}x)");
+        println!("smoke OK: blocked matmul ≥2x over the ikj oracle (got {speedup_gated:.2}x)");
+        println!("smoke OK: fused CSR gather bit-identical to the per-neighbour loop");
     }
 }

@@ -1,53 +1,26 @@
 //! Layer-step benchmark: one fused training step (forward + backward +
-//! optimizer) for an MLP and a 2-layer GIN, comparing the allocating
-//! API against the `_into`/scratch hot path, and a per-graph corpus
-//! epoch against the block-diagonally batched one.
+//! optimizer) for an MLP, comparing the allocating API against the
+//! `_into`/scratch hot path, plus the training workload of
+//! [`gel_bench::train`] (per-graph vs block-diagonally batched epochs).
 //!
 //! Run with `cargo bench -p gel-bench --bench layers [-- --smoke]`.
 //! `--smoke` shrinks the iteration counts for CI and *asserts* two
 //! contracts: the steady-state buffer-allocation counter stays at zero
-//! across a `Dense` and a `Gnn101Conv` training step, and the
-//! block-diagonally batched epoch (timed as a min over rounds, pinned
-//! to four threads) is no slower than the per-graph epoch.
+//! across a `Dense`, a `Gnn101Conv` and a batched GNN-101 training
+//! step, and the block-diagonally batched epoch (timed as a min over
+//! rounds, pinned to four threads) is no slower than the per-graph
+//! epoch.
 
-use std::time::Instant;
-
-use gel_gnn::{train_graph_model, train_graph_model_batched, Gnn101Conv, GnnAgg, GraphModel};
-use gel_graph::{families, BatchedGraphs, Graph};
+use gel_bench::train::batched_training;
+use gel_bench::{min_secs_per_iter, Scale};
+use gel_gnn::{Gnn101Conv, GnnAgg};
+use gel_graph::families;
 use gel_tensor::{
-    buffer_allocs, Activation, Adam, Dense, Init, Loss, Matrix, Mlp, Optimizer, Parameterized,
-    Scratch, Sgd,
+    buffer_allocs, Activation, Dense, Init, Loss, Matrix, Mlp, Optimizer, Parameterized, Scratch,
+    Sgd,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn secs_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    // One untimed warm-up call so neither variant pays first-run costs.
-    f();
-    let t = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_secs_f64() / f64::from(iters)
-}
-
-/// Minimum per-iteration time over several timed rounds (after one
-/// untimed warm-up call). The minimum is robust against one-off
-/// scheduler hiccups, which a single timed window is not — the batched
-/// speedup this file asserts on used to dip below 1 for exactly that
-/// reason.
-fn min_secs_per_iter(rounds: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / f64::from(iters));
-    }
-    best
-}
 
 fn report(name: &str, allocating: f64, into: f64) {
     println!(
@@ -67,7 +40,7 @@ fn bench_mlp(iters: u32) {
     let mut model =
         Mlp::new(&[16, 32, 8], Activation::ReLU, Activation::Identity, Init::He, &mut rng);
     let mut opt = Sgd::new(0.01);
-    let alloc = secs_per_iter(iters, || {
+    let alloc = min_secs_per_iter(1, iters, || {
         model.zero_grads();
         let pred = model.forward(&x);
         let (_, grad) = Loss::Mse.eval(&pred, &target);
@@ -81,7 +54,7 @@ fn bench_mlp(iters: u32) {
     let mut scratch = Scratch::new();
     let (mut pred, mut grad, mut grad_in) =
         (Matrix::default(), Matrix::default(), Matrix::default());
-    let into = secs_per_iter(iters, || {
+    let into = min_secs_per_iter(1, iters, || {
         model.zero_grads();
         model.forward_into(&x, &mut scratch, &mut pred);
         let _ = Loss::Mse.eval_into(&pred, &target, &mut grad);
@@ -89,47 +62,6 @@ fn bench_mlp(iters: u32) {
         opt.step(&mut model);
     });
     report("mlp_16x32x8_step (64 rows)", alloc, into);
-}
-
-/// One 2-layer-GIN training epoch over a corpus, per-graph vs batched.
-/// Returns the batched speedup (per-graph time over batched time),
-/// each side timed as a min over rounds.
-fn bench_gin_corpus(iters: u32) -> f64 {
-    let mut rng = StdRng::seed_from_u64(gel_bench::BENCH_SEED);
-    let data: Vec<(Graph, Vec<f64>)> = (4..24)
-        .flat_map(|k| [(families::star(k), vec![1.0]), (families::cycle(k), vec![0.0])])
-        .collect();
-    let batch = BatchedGraphs::pack(data.iter().map(|(g, _)| g));
-    let targets = Matrix::from_vec(data.len(), 1, data.iter().map(|(_, t)| t[0]).collect());
-    let rounds = 3;
-
-    let mut model = GraphModel::gin(1, 16, 2, 1, Activation::Identity, &mut rng);
-    let mut opt = Adam::new(0.01);
-    let per_graph = min_secs_per_iter(rounds, iters, || {
-        let _ = train_graph_model(&mut model, &data, Loss::BceWithLogits, &mut opt, 1);
-    });
-
-    let mut model = GraphModel::gin(1, 16, 2, 1, Activation::Identity, &mut rng);
-    let mut opt = Adam::new(0.01);
-    let batched = min_secs_per_iter(rounds, iters, || {
-        let _ = train_graph_model_batched(
-            &mut model,
-            &batch,
-            &targets,
-            Loss::BceWithLogits,
-            &mut opt,
-            1,
-        );
-    });
-    let speedup = per_graph / batched.max(1e-12);
-    println!(
-        "{:<40} per-graph {:>10.2} µs   batched {:>8.2} µs   speedup {:>5.2}x",
-        "gin_2layer_epoch (40 graphs)",
-        per_graph * 1e6,
-        batched * 1e6,
-        speedup
-    );
-    speedup
 }
 
 /// Steady-state allocation counter across a `Dense` training step;
@@ -184,29 +116,33 @@ fn gnn101_steady_state_allocs(warm: u32, steps: u32) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let iters = if smoke { 5 } else { 200 };
+    let scale = Scale::from_args();
+    bench_mlp(scale.pick(5, 200));
 
-    bench_mlp(iters);
-    // The batched-vs-per-graph comparison runs pinned to four threads —
-    // the configuration the batching claim is made for — so the number
-    // is comparable across machines and the smoke assertion below is
-    // meaningful.
-    rayon::set_num_threads(4);
-    let batched_speedup = bench_gin_corpus(iters);
-    rayon::set_num_threads(0);
+    let train = batched_training(scale);
+    println!(
+        "{:<40} per-graph {:>10.2} µs   batched {:>8.2} µs   speedup {:>5.2}x",
+        format!("gnn101_epoch (40 graphs, {} threads)", train.threads),
+        train.per_graph_s * 1e6,
+        train.batched_s * 1e6,
+        train.batched_speedup()
+    );
+    println!("batched_steady_state_allocs = {} per step", train.allocs_per_step);
 
     let dense_allocs = dense_steady_state_allocs(3, 20);
     let gnn_allocs = gnn101_steady_state_allocs(3, 20);
     println!("dense_steady_state_allocs  = {dense_allocs} (over 20 steps)");
     println!("gnn101_steady_state_allocs = {gnn_allocs} (over 20 steps)");
-    if smoke {
+    if scale.is_smoke() {
         assert_eq!(dense_allocs, 0, "Dense training step allocated in steady state");
         assert_eq!(gnn_allocs, 0, "Gnn101Conv training step allocated in steady state");
+        assert_eq!(train.allocs_per_step, 0.0, "batched training step allocated in steady state");
+        let speedup = train.batched_speedup();
         assert!(
-            batched_speedup >= 1.0,
+            speedup >= 1.0,
             "block-diagonal batching regressed below the per-graph baseline \
-             (speedup {batched_speedup:.2}x at 4 threads)"
+             (speedup {speedup:.2}x at {} threads)",
+            train.threads
         );
         println!("smoke OK: steady-state training steps are allocation-free");
     }

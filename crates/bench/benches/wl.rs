@@ -14,23 +14,12 @@
 //! feature off the counters read zero on both sides and the gate
 //! passes trivially (the instrumented leg is the binding one).
 
-use std::time::Instant;
-
+use gel_bench::min_secs_per_iter;
 use gel_graph::cfi::cfi_pair_k4;
 use gel_graph::families::{path, srg_16_6_2_2_pair};
 use gel_wl::{
     color_refinement, k_wl, wl_scratch_allocs, wl_scratch_init_allocs, CrOptions, WlVariant,
 };
-
-fn secs_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    // One untimed warm-up call so first-run costs stay out of the mean.
-    f();
-    let t = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_secs_f64() / f64::from(iters)
-}
 
 fn report(name: &str, secs: f64, rounds: usize) {
     println!("{name:<36} {:>10.2} µs/iter   ({rounds} rounds to stability)", secs * 1e6);
@@ -54,7 +43,7 @@ fn main() {
     let cr = color_refinement(&[&cfi_g, &cfi_h], CrOptions::default());
     report(
         "cr_cfi_k4",
-        secs_per_iter(iters, || {
+        min_secs_per_iter(1, iters, || {
             let _ = color_refinement(&[&cfi_g, &cfi_h], CrOptions::default());
         }),
         cr.rounds,
@@ -62,7 +51,7 @@ fn main() {
     let cr = color_refinement(&[&srg_s, &srg_r], CrOptions::default());
     report(
         "cr_srg16",
-        secs_per_iter(iters, || {
+        min_secs_per_iter(1, iters, || {
             let _ = color_refinement(&[&srg_s, &srg_r], CrOptions::default());
         }),
         cr.rounds,
@@ -78,7 +67,7 @@ fn main() {
         let c = k_wl(&[g, h], k, variant, None);
         report(
             name,
-            secs_per_iter(if heavy { heavy_iters } else { iters }, || {
+            min_secs_per_iter(1, if heavy { heavy_iters } else { iters }, || {
                 let _ = k_wl(&[g, h], k, variant, None);
             }),
             c.rounds,

@@ -1,13 +1,17 @@
 //! The warmed wco + sparse-output path never touches the heap.
 //!
 //! This binary holds a single test behind a counting global allocator,
-//! so the count it reads is bumped by that test alone: no concurrent
-//! test lowers plans or fills pools meanwhile. It sees every heap
-//! allocation of a cached-plan evaluation — the multiway join kernel,
-//! its scratch and the sparse root included — not just slab-pool
-//! misses.
+//! so no concurrent test lowers plans or fills pools meanwhile. The
+//! allocator counts only the test thread's allocations while it
+//! measures: the test harness's own thread allocates at times of its
+//! choosing, and counted process-wide it once read 4 allocations here.
+//! The sparse and wco kernels run on the calling thread, so the count
+//! still sees every heap allocation of a cached-plan evaluation — the
+//! multiway join kernel, its scratch and the sparse root included —
+//! not just slab-pool misses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gel_graph::{GraphBuilder, Vertex};
@@ -20,23 +24,36 @@ struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. Const-initialized
+    /// and without a destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    // `try_with`: the flag is unreadable while the thread tears down.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call forwards to `System` with the caller's arguments
 // unchanged; the counter is a plain statistic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` was returned by this allocator (hence `System`)
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -81,9 +98,11 @@ fn wco_sparse_output_steady_state_allocs_zero() {
     }
     let joins = gel_lang::eval_wco_joins();
     let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     for _ in 0..10 {
         eng.eval(&e, &g);
     }
+    COUNTING.with(|c| c.set(false));
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(gel_lang::eval_wco_joins() - joins, 10, "probe must take the wco path");
     assert!(eng.eval(&e, &g).is_sparse(), "root must stay sparse");

@@ -6,7 +6,7 @@
 
 use gel_gnn::{GnnAgg, GraphModel, Readout};
 use gel_graph::{families, BatchedGraphs, Graph};
-use gel_tensor::{Activation, Adam, Loss, Matrix, Optimizer, Parameterized, Scratch};
+use gel_tensor::{Activation, Matrix, Scratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,36 +82,4 @@ fn batched_infer_matches_per_graph_row_for_row() {
         }
     }
     rayon::set_num_threads(0);
-}
-
-/// Steady-state batched training steps allocate nothing: all buffers
-/// (scratch pool, layer caches, Adam moments) are sized during warm-up
-/// and reused thereafter.
-#[test]
-fn batched_training_step_is_allocation_free_in_steady_state() {
-    let graphs = corpus();
-    let batch = BatchedGraphs::pack(&graphs);
-    let targets =
-        Matrix::from_vec(graphs.len(), 1, (0..graphs.len()).map(|i| (i % 2) as f64).collect());
-    let mut rng = StdRng::seed_from_u64(0xA110C);
-    let mut model = GraphModel::gnn101(1, 8, 2, 1, GnnAgg::Sum, Readout::Sum, &mut rng);
-    let mut opt = Adam::new(0.01);
-    let (mut pred, mut grad) = (Matrix::default(), Matrix::default());
-    let (warm, steps) = (3u32, 10u32);
-    let mut base = 0u64;
-    for step in 0..warm + steps {
-        if step == warm {
-            base = gel_tensor::buffer_allocs();
-        }
-        model.zero_grads();
-        model.forward_batched_into(&batch, &mut pred);
-        let _ = Loss::BceWithLogits.eval_into(&pred, &targets, &mut grad);
-        model.backward_batched(&batch, &grad);
-        opt.step(&mut model);
-    }
-    assert_eq!(
-        gel_tensor::buffer_allocs() - base,
-        0,
-        "batched training step allocated in steady state"
-    );
 }

@@ -17,9 +17,7 @@
 //!   semantics so one expression never lowers twice;
 //! * [`server`] — the blocking thread-per-connection server with
 //!   admission control and typed error frames;
-//! * [`client`] — a blocking client with typed convenience calls;
-//! * [`load`] — the concurrent load generator behind
-//!   `gel-bench --bench serve`.
+//! * [`client`] — a blocking client with typed convenience calls.
 //!
 //! ## Example
 //!
@@ -42,12 +40,10 @@
 
 pub mod cache;
 pub mod client;
-pub mod load;
 pub mod proto;
 pub mod server;
 
 pub use cache::{Checkout, PlanCache, PlanKey};
 pub use client::{Client, ClientError};
-pub use load::{run_load, run_load_batched, LoadConfig, LoadReport};
 pub use proto::{ErrorCode, ProtoError, Request, Response, StatsReply, TableData, WireTable};
 pub use server::{ServeOptions, Server};

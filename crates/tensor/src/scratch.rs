@@ -111,32 +111,6 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::buffer_allocs;
-
-    #[test]
-    fn take_put_cycle_reuses_buffer() {
-        let mut s = Scratch::new();
-        let a = s.take(4, 4); // cold: allocates
-        s.put(a);
-        let before = buffer_allocs();
-        for _ in 0..100 {
-            let m = s.take(4, 4);
-            s.put(m);
-        }
-        assert_eq!(buffer_allocs() - before, 0, "warm take/put must not allocate");
-    }
-
-    #[test]
-    fn smaller_shapes_reuse_larger_buffers() {
-        let mut s = Scratch::new();
-        let a = s.take(8, 8);
-        s.put(a);
-        let before = buffer_allocs();
-        let b = s.take(2, 3);
-        assert_eq!(b.shape(), (2, 3));
-        s.put(b);
-        assert_eq!(buffer_allocs() - before, 0, "2x3 fits in the pooled 8x8 buffer");
-    }
 
     #[test]
     fn best_fit_prefers_smallest_sufficient() {

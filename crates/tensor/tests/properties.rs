@@ -2,7 +2,7 @@
 //! algebraic laws every downstream layer silently relies on.
 
 use gel_tensor::kernels::{gather_sum_into, gather_wsum_into, matmul_ikj_into};
-use gel_tensor::{buffer_allocs, Activation, Matrix, Scratch};
+use gel_tensor::{Activation, Matrix};
 use proptest::prelude::*;
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -208,27 +208,5 @@ proptest! {
             }
         }
         prop_assert_eq!(&wfused, &wnaive, "weighted gather diverges at width {}", w);
-    }
-
-    /// A `Scratch` pool hands back buffers without new heap
-    /// allocations once warm, and `take`n buffers always come back
-    /// correctly shaped regardless of what was `put` in.
-    #[test]
-    fn scratch_reuse_is_allocation_free((r, c) in (1usize..6, 1usize..6)) {
-        let mut scratch = Scratch::new();
-        // Warm: one buffer of the largest shape this test will request.
-        scratch.put(Matrix::zeros(8, 8));
-        let base = buffer_allocs();
-        for _ in 0..16 {
-            let m = scratch.take(r, c);
-            prop_assert_eq!(m.shape(), (r, c));
-            scratch.put(m);
-            let z = scratch.take_zeroed(c, r);
-            prop_assert_eq!(z.shape(), (c, r));
-            prop_assert!(z.data().iter().all(|&x| x == 0.0));
-            scratch.put(z);
-        }
-        prop_assert_eq!(buffer_allocs() - base, 0,
-            "scratch reuse allocated in steady state");
     }
 }

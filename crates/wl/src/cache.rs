@@ -228,9 +228,28 @@ mod tests {
     /// absolute hit/miss numbers must not interleave.
     static SERIAL: Mutex<()> = Mutex::new(());
 
+    /// Holds [`SERIAL`] for one test. On drop — pass or panic — it
+    /// flushes the test thread's gel-obs shard *before* releasing the
+    /// lock: otherwise the shard flushes only when the thread exits,
+    /// after the next test's `clear_cache()`, and lands in that test's
+    /// counts.
+    struct Serial {
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl Drop for Serial {
+        fn drop(&mut self) {
+            gel_obs::flush_thread();
+        }
+    }
+
+    fn serial() -> Serial {
+        Serial { _lock: SERIAL.lock().unwrap_or_else(|e| e.into_inner()) }
+    }
+
     #[test]
     fn cached_results_match_fresh_computation() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = serial();
         clear_cache();
         let pairs = [
             (path(5), cycle(5)),
@@ -261,7 +280,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn repeated_queries_hit_without_rerunning_refinement() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = serial();
         clear_cache();
         let g = path(7);
         let h = star(6);
@@ -279,7 +298,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn structurally_equal_graphs_share_an_entry() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = serial();
         clear_cache();
         let g1 = path(6);
         let g2 = path(6); // separately built, same structure
@@ -299,7 +318,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn cache_stats_match_obs_counters() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = serial();
         clear_cache();
         gel_obs::reset();
         let g = path(6);
@@ -317,7 +336,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn distinct_queries_get_distinct_entries() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = serial();
         clear_cache();
         let g = path(4);
         let h = star(3);
@@ -361,7 +380,7 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn overflow_evicts_lru_deterministically() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = serial();
         clear_cache();
         gel_obs::reset();
         for i in 0..MAX_ENTRIES as u64 + 3 {
