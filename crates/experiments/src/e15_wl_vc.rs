@@ -14,11 +14,16 @@
 //!   pair caps training accuracy at `(m − 1)/m` no matter how long we
 //!   train (the class cannot shatter any set containing an equivalent
 //!   pair, hence the VC bound).
+//!
+//! Each training set is packed once into a block-diagonal batch, so an
+//! epoch is one forward/backward pass over all of its graphs.
 
-use gel_gnn::{eval_graph_accuracy, train_graph_model, GnnAgg, GraphModel, Readout};
+use gel_gnn::{
+    eval_graph_accuracy_batched, train_graph_model_batched, GnnAgg, GraphModel, Readout,
+};
 use gel_graph::families::{cr_blind_pair, cycle, path, star};
-use gel_graph::Graph;
-use gel_tensor::{Adam, Loss};
+use gel_graph::{BatchedGraphs, Graph};
+use gel_tensor::{Adam, Loss, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,8 +35,10 @@ fn fit_accuracy(data: &[(Graph, Vec<f64>)], epochs: usize, seed: u64) -> f64 {
     // become indistinguishable), artificially capping the capacity.
     let mut model = GraphModel::gnn101(1, 16, 2, 1, GnnAgg::Sum, Readout::Sum, &mut rng);
     let mut opt = Adam::new(0.02);
-    train_graph_model(&mut model, data, Loss::BceWithLogits, &mut opt, epochs);
-    eval_graph_accuracy(&model, data)
+    let batch = BatchedGraphs::pack(data.iter().map(|(g, _)| g));
+    let targets = Matrix::from_vec(data.len(), 1, data.iter().map(|(_, y)| y[0]).collect());
+    train_graph_model_batched(&mut model, &batch, &targets, Loss::BceWithLogits, &mut opt, epochs);
+    eval_graph_accuracy_batched(&model, &batch, &targets)
 }
 
 /// Runs E15.

@@ -64,6 +64,8 @@ pub fn train_graph_model(
 /// the same ERM objective (losses average over the batch dimension), so
 /// it converges to the same solutions; per-element gradients are
 /// mathematically equal to the per-graph path's `grad / m`.
+/// `tests/trainer_agreement.rs` checks the two loss curves agree to
+/// rounding on the E15 training sets.
 pub fn train_graph_model_batched(
     model: &mut GraphModel,
     batch: &BatchedGraphs,
@@ -268,9 +270,10 @@ impl LinkPredictor {
     }
 }
 
-/// Per-vertex regression (used by the approximation experiments E5 and
-/// E12): fit `targets[v]` with MSE over all vertices of one graph per
-/// example.
+/// Per-vertex regression: fit `targets[v]` with MSE over all vertices
+/// of one graph per example. The approximation experiments E5 and E12
+/// run [`train_vertex_regression_batched`]; this per-graph loop is its
+/// reference.
 pub fn train_vertex_regression(
     model: &mut VertexModel,
     data: &[(Graph, Vec<f64>)],
@@ -305,7 +308,8 @@ pub fn train_vertex_regression(
 /// the `total_vertices × 1` row-stack of the member targets. The loss
 /// keeps the per-graph normalization of the unbatched path — member
 /// `i` contributes `(1/n_i) Σ_{v ∈ G_i} d_v²` and its vertices receive
-/// gradient `2 d_v / n_i / m` — so the objective optimized is the same.
+/// gradient `2 d_v / n_i / m` — so the objective optimized is the same
+/// (`tests/trainer_agreement.rs` checks it on the E5 corpus).
 pub fn train_vertex_regression_batched(
     model: &mut VertexModel,
     batch: &BatchedGraphs,
